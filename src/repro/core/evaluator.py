@@ -143,6 +143,8 @@ class ExpressionEvaluator:
         self.profiler = profiler
         self._deploy_counter = 0
         self._install_counter = 0
+        #: Embedded service calls fired so far (see :meth:`_commit_document`).
+        self._activations = 0
         # per-job recovery context (reset by begin_job)
         self.deadline_at = math.inf
         self.partial = False
@@ -342,6 +344,7 @@ class ExpressionEvaluator:
                 ),
                 forwards=call.forwards,
             )
+            self._activations += 1
             try:
                 sub = self.eval(call_expr, at, ready_at, depth + 1)
             except (FaultError, PeerDownError) as exc:
@@ -403,19 +406,36 @@ class ExpressionEvaluator:
         # three-way fault invariant forbids).  The loss watermark tells
         # degraded activations apart from complete ones.
         losses_before = len(self.losses)
+        fired_before = self._activations
         if at == expr.home:
             outcome = self.eval(inner, at, ready_at, depth + 1)
             # "p2 has replaced this local tree with the result of eval" —
             # the activated version becomes the stored document.
             if len(outcome.items) == 1 and len(self.losses) == losses_before:
-                home.install_document(expr.name, outcome.items[0], replace=True)
+                self._commit_document(expr, outcome.items[0], fired_before)
             return outcome
         home_outcome = self.eval(inner, expr.home, ready_at, depth + 1)
         if len(home_outcome.items) == 1 and len(self.losses) == losses_before:
-            home.install_document(expr.name, home_outcome.items[0], replace=True)
+            self._commit_document(expr, home_outcome.items[0], fired_before)
         return self._ship_items(
             home_outcome, expr.home, at, home_outcome.completed_at
         )
+
+    def _commit_document(
+        self, expr: DocExpr, tree: Element, fired_before: int
+    ) -> None:
+        """Store the activated document; an activation is a mutation.
+
+        When embedded calls fired, the stored document changed content,
+        so every name it is read through gets its epoch bumped, exactly
+        as a write would: epoch-keyed plan and estimator memos over the
+        unactivated document stop matching.
+        """
+        home = self.system.peer(expr.home)
+        home.install_document(expr.name, tree, replace=True)
+        if self._activations > fired_before:
+            for name in self.system.document_aliases(expr.name, expr.home):
+                self.system.bump_doc_epoch(name)
 
     def _eval_generic_doc(
         self, expr: GenericDoc, at: str, ready_at: float, depth: int

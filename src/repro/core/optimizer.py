@@ -151,7 +151,9 @@ class Optimizer:
         """Run ``plan`` through a strategy named in the registry (or given)."""
         space = self.search_space(verify)
         result = make_strategy(strategy, **options).search(plan, space)
-        return self._finalize(plan, result, space)
+        result = self._finalize(plan, result, space)
+        result.reads = frozenset(space.reads)
+        return result
 
     def optimize(
         self,

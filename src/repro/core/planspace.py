@@ -14,23 +14,48 @@ memoize per key.
   identity), interned so equal plans share one key object;
 * :class:`PlanCache` — the transposition table: plan cost and rule
   expansions per fingerprint, plus the :class:`~repro.core.cost.CostEstimator`'s
-  subtree/doc-size/compiled-query memos, with hit/miss/dedup counters;
+  subtree/doc-size/compiled-query memos, with hit/miss/dedup counters —
+  and, on top, the *prepared plans*: whole search results per request
+  template (System R's compiled access plans), so a repeated template
+  skips parse and search entirely;
 * :class:`CacheStats` — the counter block, snapshot-diffable so each
   search can report exactly its own share of a shared cache's traffic.
 
 One :class:`PlanCache` may be shared across strategies and across
 searches (the :class:`~repro.session.Session` and the
 :class:`~repro.workloads.harness.DifferentialHarness` both do), under one
-contract: **the cached values are only valid while Σ's observable
-statistics are stable**.  Costs are deterministic functions of (plan, Σ);
-mutate the system and the table must be :meth:`~PlanCache.clear`-ed.
+contract: **a cached value is valid exactly while the parts of Σ its key
+names are unchanged**.  Costs are deterministic functions of (plan, Σ).
+Document reads are made visible in the key itself: every key is salted
+with the :func:`doc_epoch_signature` of the documents the plan reads, so
+a write (:mod:`repro.writes`) bumps those documents' epochs and orphans
+exactly the stale entries, while entries over untouched documents keep
+hitting.  A prepared plan records the epochs of every document any plan
+its search keyed reads; it is served only while all of them are
+unchanged — exactly when replaying the search against the table would
+hit the same entries and return the same result.  An activation of a
+document's embedded calls bumps its epochs like a write.  Mutations that
+epochs do not capture (placement actions, other side effects of
+executions on a non-isolated Σ) are the caller's to handle with
+:meth:`~PlanCache.clear`, which drops every table, prepared plans
+included.  One dependency is not keyed yet: a write to a document that
+an *unactivated* embedded call's service reads leaves the calling
+document's epoch, and so entries over it, unchanged.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+)
 
 from .expressions import DocExpr, FragmentedDoc, GenericDoc, walk
 from .rules import Plan, Rewrite
@@ -41,8 +66,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "plan_fingerprint",
+    "doc_names",
+    "epoch_signature",
     "doc_epoch_signature",
     "CacheStats",
+    "PreparedPlan",
     "PlanCache",
 ]
 
@@ -62,29 +90,53 @@ def plan_fingerprint(plan: Plan) -> str:
     return sys.intern(f"{plan.site}|{expression_fingerprint(plan.expr)}")
 
 
-def doc_epoch_signature(system, expr) -> str:
-    """Epoch salt for the documents an expression reads, ``""`` if none.
+def doc_names(expr) -> FrozenSet[str]:
+    """Names of every document an expression reads.
 
     Document-reference expressions (:class:`DocExpr`, :class:`GenericDoc`,
-    :class:`FragmentedDoc`) fingerprint by *name* only, so a mutation
-    (see :mod:`repro.writes`) would be invisible to :func:`plan_fingerprint`.
-    This signature makes it visible: every referenced name with a
-    non-zero epoch contributes ``name:epoch``, sorted and joined.  While
-    nothing has ever been written (``system.doc_epochs`` empty) the
-    signature is ``""`` — callers skip the salt entirely and every key
-    stays byte-identical to the read-only regime.  Tree literals need no
-    salting: their content fingerprint already changes under mutation.
+    :class:`FragmentedDoc`) fingerprint by *name*, so this set is a pure
+    function of the expression's fingerprint — :class:`PlanCache` memoizes
+    it per plan key.
+    """
+    return frozenset(
+        node.name
+        for node in walk(expr)
+        if isinstance(node, (DocExpr, GenericDoc, FragmentedDoc))
+    )
+
+
+def epoch_signature(system, names: Iterable[str]) -> str:
+    """Epoch salt for a set of document names, ``""`` if none was written.
+
+    Every name with a non-zero epoch contributes ``name:epoch``, sorted
+    and joined.  While nothing has ever been written
+    (``system.doc_epochs`` empty) the signature is ``""``.
     """
     epochs = getattr(system, "doc_epochs", None)
     if not epochs:
         return ""
     touched = set()
-    for node in walk(expr):
-        if isinstance(node, (DocExpr, GenericDoc, FragmentedDoc)):
-            epoch = epochs.get(node.name)
-            if epoch:
-                touched.add(f"{node.name}:{epoch}")
+    for name in names:
+        epoch = epochs.get(name)
+        if epoch:
+            touched.add(f"{name}:{epoch}")
     return ",".join(sorted(touched))
+
+
+def doc_epoch_signature(system, expr) -> str:
+    """Epoch salt for the documents an expression reads, ``""`` if none.
+
+    Document-reference expressions fingerprint by *name* only, so a
+    mutation (see :mod:`repro.writes`) would be invisible to
+    :func:`plan_fingerprint`.  This signature makes it visible (see
+    :func:`epoch_signature`).  While nothing has ever been written the
+    signature is ``""`` — callers skip the salt entirely and every key
+    stays byte-identical to the read-only regime.  Tree literals need no
+    salting: their content fingerprint already changes under mutation.
+    """
+    if not getattr(system, "doc_epochs", None):
+        return ""
+    return epoch_signature(system, doc_names(expr))
 
 
 @dataclass
@@ -95,6 +147,9 @@ class CacheStats:
     their fingerprint was already processed this search; ``cost_hits``
     are cost lookups answered from the table (each one is a cost-function
     invocation saved); ``cost_misses`` are actual cost-function calls.
+    ``prepared_hits`` are requests served from a prepared plan (parse
+    and search skipped); ``prepared_misses`` are prepared-plan lookups
+    that had to search — no entry yet, or one whose documents changed.
     """
 
     cost_hits: int = 0
@@ -104,6 +159,8 @@ class CacheStats:
     plans_deduped: int = 0
     estimator_hits: int = 0
     estimator_misses: int = 0
+    prepared_hits: int = 0
+    prepared_misses: int = 0
 
     @property
     def cost_calls_saved(self) -> int:
@@ -131,10 +188,51 @@ class CacheStats:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def describe(self) -> str:
-        return (
+        text = (
             f"cache: {self.cost_hits} cost hits / {self.cost_misses} misses "
             f"({self.hit_rate:.0%} hit rate), {self.plans_deduped} plans "
             f"deduped, {self.expand_hits} expansions reused"
+        )
+        if self.prepared_hits or self.prepared_misses:
+            text += (
+                f", {self.prepared_hits} prepared-plan hits / "
+                f"{self.prepared_misses} misses"
+            )
+        return text
+
+
+@dataclass(frozen=True)
+class PreparedPlan:
+    """One template's finished search, served again without searching.
+
+    ``reads`` names every document any plan the search keyed reads, and
+    ``signature`` is their :func:`epoch_signature` when the search ran:
+    the entry is valid exactly while that signature is unchanged.
+    """
+
+    original: Plan
+    best: Plan
+    original_cost: "Cost"
+    best_cost: "Cost"
+    explored: int
+    strategy: str
+    trace: Tuple
+    reads: FrozenSet[str]
+    signature: str
+
+    @classmethod
+    def record(cls, original: Plan, result, system) -> "PreparedPlan":
+        """Freeze a finished search (an ``OptimizationResult``) over Σ."""
+        return cls(
+            original=original,
+            best=result.best,
+            original_cost=result.original_cost,
+            best_cost=result.best_cost,
+            explored=result.explored,
+            strategy=result.strategy,
+            trace=tuple(result.trace),
+            reads=result.reads,
+            signature=epoch_signature(system, result.reads),
         )
 
 
@@ -145,9 +243,10 @@ class PlanCache:
     and the full list of rule rewrites; and, for the static
     :class:`~repro.core.cost.CostEstimator`, per-(subexpression, site)
     cost deltas, per-(document, peer) sizes, and compiled logical plans
-    per query source.  ``stats`` accumulates over the cache's lifetime;
-    callers wanting per-search numbers snapshot and diff via
-    :meth:`CacheStats.delta_since`.
+    per query source; and, per request template, a :class:`PreparedPlan`
+    (see :meth:`lookup_prepared`).  ``stats`` accumulates over the
+    cache's lifetime; callers wanting per-search numbers snapshot and
+    diff via :meth:`CacheStats.delta_since`.
     """
 
     def __init__(self) -> None:
@@ -179,6 +278,11 @@ class PlanCache:
         #: (query source, argument value keys) -> (result bytes, work
         #: units); one deterministic apply sample per distinct input
         self.apply_samples: Dict[Tuple, Tuple[int, int]] = {}
+        #: plan fingerprint -> names of the documents the plan reads
+        #: (see :func:`doc_names`); makes epoch salting a lookup, not a walk
+        self.doc_reads: Dict[str, FrozenSet[str]] = {}
+        #: request-template key -> finished search (see :meth:`lookup_prepared`)
+        self._prepared: Dict[Tuple, PreparedPlan] = {}
 
     # -- transposition table ------------------------------------------------
     def lookup_cost(self, key: str) -> Tuple[bool, Optional["Cost"]]:
@@ -198,6 +302,34 @@ class PlanCache:
     def store_expansions(self, key: str, rewrites: List[Rewrite]) -> None:
         self._expansions[key] = tuple(rewrites)
 
+    def reads_of(self, key: str, plan: Plan) -> FrozenSet[str]:
+        """Documents ``plan`` (fingerprint ``key``) reads, memoized."""
+        names = self.doc_reads.get(key)
+        if names is None:
+            names = self.doc_reads[key] = doc_names(plan.expr)
+        return names
+
+    # -- prepared plans -----------------------------------------------------
+    def lookup_prepared(self, key: Tuple, system) -> Optional[PreparedPlan]:
+        """The prepared plan for a request template, if still valid.
+
+        Valid means every document any plan of the recorded search reads
+        has the epoch it had then: replaying the search against this
+        table would key the same entries and return the same result.  A
+        stale entry counts as a miss (and is replaced by the next store).
+        """
+        entry = self._prepared.get(key)
+        if entry is not None and (
+            epoch_signature(system, entry.reads) == entry.signature
+        ):
+            self.stats.prepared_hits += 1
+            return entry
+        self.stats.prepared_misses += 1
+        return None
+
+    def store_prepared(self, key: Tuple, entry: PreparedPlan) -> None:
+        self._prepared[key] = entry
+
     # -- bookkeeping --------------------------------------------------------
     def __len__(self) -> int:
         return len(self._costs)
@@ -207,23 +339,31 @@ class PlanCache:
         """Distinct plan fingerprints with a cached cost."""
         return len(self._costs)
 
+    def tables(self) -> Dict[str, int]:
+        """Entries per table, by table name (prepared plans included)."""
+        return {
+            name.lstrip("_"): len(table)
+            for name, table in vars(self).items()
+            if isinstance(table, dict)
+        }
+
     def clear(self) -> None:
-        """Forget everything (call after mutating Σ); counters survive."""
-        self._costs.clear()
-        self._expansions.clear()
-        self.subtree_costs.clear()
-        self.doc_sizes.clear()
-        self.compiled_queries.clear()
-        self.doc_profiles.clear()
-        self.service_samples.clear()
-        self.doc_values.clear()
-        self.apply_samples.clear()
+        """Forget everything, prepared plans included; counters survive.
+
+        Needed after mutations the doc epochs do not capture (placement
+        actions, side effects of executions on a non-isolated Σ); writes
+        and activations need no clear.
+        """
+        for table in vars(self).values():
+            if isinstance(table, dict):
+                table.clear()
 
     def describe(self) -> str:
         return (
             f"{self.distinct_plans} plans cached, "
             f"{len(self._expansions)} expansions, "
-            f"{len(self.subtree_costs)} subtree estimates; "
+            f"{len(self.subtree_costs)} subtree estimates, "
+            f"{len(self._prepared)} prepared plans; "
             + self.stats.describe()
         )
 

@@ -28,10 +28,12 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     List,
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
     Union,
     runtime_checkable,
@@ -46,6 +48,7 @@ from .planspace import (
     CacheStats,
     PlanCache,
     doc_epoch_signature,
+    epoch_signature,
     plan_fingerprint,
 )
 from .rules import DEFAULT_RULES, Plan, Rewrite, RewriteRule
@@ -62,6 +65,7 @@ __all__ = [
     "register_strategy",
     "available_strategies",
     "make_strategy",
+    "search_token",
 ]
 
 CostFn = Callable[[Plan], Cost]
@@ -85,6 +89,27 @@ def _model_token(model: CostModel) -> str:
     """The model's cache salt ("" for models without one, oracle included)."""
     token = getattr(model, "cache_token", None)
     return token() if callable(token) else ""
+
+
+def search_token(
+    strategy: OptimizerStrategy, model: CostModel, verify: bool
+) -> Tuple:
+    """What a search's result depends on besides its plan, Σ and the table.
+
+    The strategy's name and options, the cost model's name and cache
+    tokens (the final checker's too), and the verify flag — the part of
+    a :class:`~repro.core.planspace.PlanCache` prepared-plan key that
+    names *how* the template was searched.
+    """
+    check_token = getattr(model, "check_token", None)
+    return (
+        getattr(strategy, "name", type(strategy).__name__),
+        repr(sorted(getattr(strategy, "__dict__", {}).items())),
+        getattr(model, "name", type(model).__name__),
+        _model_token(model),
+        check_token() if callable(check_token) else None,
+        verify,
+    )
 
 
 def improvement_ratio(original: Cost, best: Cost) -> float:
@@ -115,6 +140,10 @@ class OptimizationResult:
     #: Plan-cache traffic attributable to this search (hits, misses,
     #: dedup skips); ``None`` for strategies that do not report it.
     cache: Optional[CacheStats] = None
+    #: Names of the documents read by any plan the search keyed (filled
+    #: by :class:`~repro.core.optimizer.Optimizer` when a plan cache is
+    #: attached) — what a prepared plan of this search depends on.
+    reads: FrozenSet[str] = frozenset()
 
     @property
     def improvement(self) -> float:
@@ -154,7 +183,9 @@ class SearchSpace:
     around a search to report their own delta (shared caches make the
     cache's global counters span many searches).  ``registry`` is the
     labeled :class:`~repro.obs.metrics.MetricsRegistry` rule-application
-    failures are counted into (``rule_errors{rule=...}``).
+    failures (``rule_errors{rule=...}``) and unevaluable candidates
+    (``unevaluable{error=...}``) are counted into.  ``reads`` collects
+    the documents every keyed plan reads (with a cache attached).
     """
 
     def __init__(
@@ -184,6 +215,7 @@ class SearchSpace:
         self.cache = cache
         self.metrics = CacheStats()
         self.registry = registry if registry is not None else MetricsRegistry()
+        self.reads: Set[str] = set()
 
     @property
     def cost_fn(self) -> CostFn:
@@ -203,7 +235,12 @@ class SearchSpace:
         entries for untouched documents keep their exact keys.
         """
         key = plan_fingerprint(plan)
-        signature = doc_epoch_signature(self.system, plan.expr)
+        if self.cache is None:
+            signature = doc_epoch_signature(self.system, plan.expr)
+        else:
+            names = self.cache.reads_of(key, plan)
+            self.reads |= names
+            signature = epoch_signature(self.system, names)
         if signature:
             key = sys.intern(f"{key}|{signature}")
         return key
@@ -262,8 +299,12 @@ class SearchSpace:
                 return cached
         try:
             cost: Optional[Cost] = scorer(plan)
-        except Exception:
-            cost = None  # unevaluable candidate (e.g. undefined send)
+        except Exception as exc:
+            # an unevaluable candidate (e.g. an undefined send) is a
+            # verdict, not a search failure — but it is counted, labeled
+            # by cause, so a scorer bug cannot hide behind it
+            self.registry.counter("unevaluable", error=type(exc).__name__).inc()
+            cost = None
         self.metrics.cost_misses += 1
         if self.cache is not None:
             self.cache.stats.cost_misses += 1

@@ -329,6 +329,10 @@ class Scheduler:
                 metrics.utilization.get(peer_id, 0.0)
             )
         registry.counter("placement_actions").inc(len(self.actions))
+        cache = getattr(self.session, "plan_cache", None)
+        if cache is not None:
+            for table, entries in cache.tables().items():
+                registry.gauge("plancache_entries", table=table).set(entries)
         return registry
 
     def _serving_system(self) -> AXMLSystem:

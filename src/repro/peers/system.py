@@ -109,6 +109,22 @@ class AXMLSystem:
         self.doc_epochs[name] = epoch
         return epoch
 
+    def document_aliases(self, name: str, peer: str) -> List[str]:
+        """Every name the document ``name`` at ``peer`` is read through.
+
+        Its own name, the generic classes it is a member of, and the
+        logical document it is a fragment of — the names whose epochs a
+        change to this one stored copy must bump.
+        """
+        names = {name, *self.registry.document_classes(name, peer)}
+        for info in self.fragments:
+            for fragment in info.fragments:
+                if fragment.name == name:
+                    names.add(info.doc)
+                    if fragment.generic:
+                        names.add(fragment.generic)
+        return sorted(names)
+
     # -- state Σ -------------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
         """A canonical image of Σ for equality comparison.

@@ -63,14 +63,16 @@ from .core.expressions import (
     TreeExpr,
 )
 from .core.optimizer import Optimizer
-from .core.planspace import CacheStats, PlanCache
+from .core.planspace import CacheStats, PlanCache, PreparedPlan
 from .core.rules import DEFAULT_RULES, Plan, RewriteRule
 from .core.strategies import (
     OptimizationResult,
     OptimizerStrategy,
     improvement_ratio,
     make_strategy,
+    search_token,
 )
+from .core.serialize import expression_fingerprint
 from .core.verify import VerificationResult, check_equivalence
 from .errors import DecompositionError, SessionError, XQueryError
 from .peers.system import AXMLSystem
@@ -128,7 +130,8 @@ class ExecutionReport:
     #: Per-peer stats: traffic attribution plus compute counters.
     peers: Dict[str, Dict[str, object]] = field(default_factory=dict)
     #: Search-cache counters for this run (hits / misses / plans
-    #: deduped).  Always populated by the built-in strategies —
+    #: deduped; a serving job served from a prepared plan reports just
+    #: ``prepared_hits=1``).  Always populated by the built-in strategies —
     #: ``cost_misses`` counts actual cost-function invocations even when
     #: memoization is disabled (hits are then simply zero); ``None``
     #: only for third-party strategies that do not report metrics.
@@ -197,6 +200,7 @@ class ExecutionReport:
             self.plan_cache.cost_hits
             or self.plan_cache.plans_deduped
             or self.plan_cache.expand_hits
+            or self.plan_cache.prepared_hits
         ):
             lines.append(f"{'':13s}{self.plan_cache.describe()}")
         if include_trace is None:
@@ -258,12 +262,18 @@ class Session:
         session creates its own, so every distinct plan is costed and
         rule-expanded at most once per search — and, because isolated
         runs never mutate Σ, the table keeps paying off across runs.
-        Pass an existing cache to share it between sessions over the
-        *same* system state, or ``plan_cache=None`` to disable
-        memoization entirely (debugging aid: same best plans, but every
-        search re-costs and re-expands the whole space from scratch).
-        Sessions with ``isolate=False`` clear the table before each
-        run, since executions mutate Σ.
+        Serving (:meth:`plan_job`) also keeps *prepared plans* in it:
+        a repeated request template is answered with its earlier
+        search's result, skipping parse and search, until a write (or an
+        activation of embedded calls) bumps the epoch of a document that
+        search read.  Pass an existing
+        cache to share it between sessions over the *same* system state
+        (and rule set), or ``plan_cache=None`` to disable memoization
+        and prepared plans entirely (debugging aid: same best plans, but
+        every search re-costs and re-expands the whole space from
+        scratch).  Sessions with ``isolate=False`` clear the table before
+        each :meth:`query`/:meth:`run`, since executions mutate Σ;
+        serving clears it once per drain and on every placement action.
     """
 
     def __init__(
@@ -730,33 +740,82 @@ class Session:
 
         The scheduler's planning half: builds the naive plan for a
         :class:`~repro.engine.jobs.JobRequest`, searches it through the
-        session's strategy with the shared plan cache (warm-cache
-        serving), optionally verifies the winner, and returns the
-        not-yet-executed report for the engine to run.
+        session's strategy with the shared plan cache, optionally
+        verifies the winner, and returns the not-yet-executed report for
+        the engine to run.
+
+        The job label stays out of the plan: the query is compiled
+        without a name, so every job of one template has the same plan
+        fingerprints and ships the same code, and only the report carries
+        ``request.name``.  That makes serving warm-cache: with a plan
+        cache, a repeated template (same source, parameters, site,
+        bindings, optimize flag, strategy and cost model) is served from
+        its prepared plan (:meth:`PlanCache.lookup_prepared
+        <repro.core.planspace.PlanCache.lookup_prepared>`) with no parse
+        and no search, for as long as the documents its search read are
+        unwritten.
         """
-        query = self.compile(
-            request.source, params=tuple(request.bind or {}), name=request.name
-        )
-        plan = self.plan(query, request.at, bind=request.bind, name=request.name)
-        result = self._optimize(plan, request.optimize)
+        key = self._prepared_key(request)
+        entry = None
+        if key is not None:
+            entry = self.plan_cache.lookup_prepared(key, self.system)
+        if entry is not None:
+            stats: Optional[CacheStats] = CacheStats(prepared_hits=1)
+        else:
+            query = self.compile(request.source, params=tuple(request.bind or {}))
+            plan = self.plan(query, request.at, bind=request.bind)
+            result = self._optimize(plan, request.optimize)
+            entry = PreparedPlan.record(plan, result, self.system)
+            stats = result.cache
+            if key is not None:
+                self.plan_cache.store_prepared(key, entry)
+                if stats is not None:
+                    stats.prepared_misses += 1
         verification: Optional[VerificationResult] = None
         if self.verify:
-            if result.best is plan:
+            if entry.best is entry.original:
                 verification = VerificationResult(True, "plan unchanged")
             else:
-                verification = self._check_equivalence(plan, result.best)
+                verification = self._check_equivalence(entry.original, entry.best)
         return ExecutionReport(
-            plan=result.best,
-            original=plan,
-            best_cost=result.best_cost,
-            original_cost=result.original_cost,
-            explored=result.explored,
-            strategy=result.strategy or getattr(self.strategy, "name", "?"),
-            source=query.source,
-            name=query.name,
-            trace=list(result.trace) if self.trace else [],
+            plan=entry.best,
+            original=entry.original,
+            best_cost=entry.best_cost,
+            original_cost=entry.original_cost,
+            explored=entry.explored,
+            strategy=entry.strategy or getattr(self.strategy, "name", "?"),
+            source=getattr(request.source, "source", request.source),
+            name=request.name or getattr(request.source, "name", None),
+            trace=list(entry.trace) if self.trace else [],
             verification=verification,
-            plan_cache=result.cache,
+            plan_cache=stats,
+        )
+
+    def _prepared_key(self, request) -> Optional[Tuple]:
+        """A serving request's prepared-plan key (``None``: not preparable).
+
+        Everything the search's result depends on besides Σ: the query
+        text and parameter order, the site, each binding's expression
+        fingerprint, the optimize flag, and how the search runs
+        (:func:`~repro.core.strategies.search_token`).  Requests carrying
+        a pre-built :class:`Query` always search — its name and resolver
+        are part of the plan.
+        """
+        if self.plan_cache is None or not isinstance(request.source, str):
+            return None
+        at = request.at
+        self.system.peer(at)  # fail fast on unknown sites, as plan() does
+        bind = request.bind or {}
+        return (
+            request.source,
+            tuple(bind),
+            at,
+            tuple(
+                expression_fingerprint(self._resolve_binding(value, at))
+                for value in bind.values()
+            ),
+            request.optimize,
+            search_token(self.strategy, self.cost_model, self.verify),
         )
 
     # -- internals ----------------------------------------------------------------
@@ -784,6 +843,7 @@ class Session:
                 trace=[(plan, cost, "original")],
                 strategy="none",
                 cache=space.metrics.copy(),
+                reads=frozenset(space.reads),
             )
         return self.optimizer.optimize_with(self.strategy, plan, verify=self.verify)
 

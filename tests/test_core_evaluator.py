@@ -117,6 +117,19 @@ class TestDocuments:
         stored = system.peer("p0").document("axml")
         assert stored.child_by_tag("made") is not None
 
+    def test_activation_bumps_epochs_like_a_write(self, evaluator, system):
+        system.peer("p2").install_query_service("mk", "<made>1</made>")
+        system.peer("p0").install_document(
+            "axml", element("d", make_service_call("p2", "mk"))
+        )
+        system.registry.register_document("g-axml", "axml", "p0")
+        evaluator.eval(DocExpr("cat", "p1"), "p0")
+        assert system.doc_epochs == {}  # nothing fired, nothing changed
+        evaluator.eval(DocExpr("axml", "p0"), "p1")
+        assert system.doc_epochs == {"axml": 1, "g-axml": 1}
+        evaluator.eval(DocExpr("axml", "p0"), "p1")
+        assert system.doc_epochs == {"axml": 1, "g-axml": 1}
+
     def test_generic_doc_resolved(self, evaluator, system):
         system.registry.register_document("mirror", "cat", "p1")
         outcome = evaluator.eval(GenericDoc("mirror"), "p0")
