@@ -13,6 +13,37 @@ re-running queries when new input trees arrive, and the incremental path
 (:class:`IncrementalQuery`) evaluates only over the delta when the query
 is distributive over its input forest — the common case for the paper's
 service bodies.
+
+Two run-time shortcuts keep evaluation off the nested-loop and re-sort
+paths.  Both are internal to this module: the AST, :func:`unparse` and
+the query text peers ship are unchanged.
+
+* **Hash equi-join.**  ``for $a in A, $b in B where L = R return ...``
+  is evaluated as a hash join when there are exactly two ``for`` clauses
+  without ``at``, ``B`` does not read ``$a``, and the ``where`` clause is
+  one general ``=`` whose one side reads ``$a`` but not ``$b`` and whose
+  other side reads ``$b`` but not ``$a`` (May, Helmer & Moerkotte,
+  TODS 2006).  ``B`` is evaluated once, each ``$b``'s key atoms fill
+  buckets, each ``$a``'s atoms probe them, and the matches of one ``$a``
+  are taken in ascending ``$b`` order, so the surviving tuples arrive in
+  nested-loop order.  Keys are evaluated in the order the nested loop
+  first touches them (``L(a1)``, then ``R(b1..bm)``, then ``L(a2..an)``;
+  ``R(b1)`` first when ``R`` is the left operand), so an error is the one
+  the nested loop raises.  The join only holds while every key atom is
+  untyped (node-derived), where ``=`` is plain string equality and cannot
+  raise; the first typed atom sends the FLWOR back to the nested loop.
+  The shape test runs once per FLWOR node and run, memoized in the run's
+  :class:`DynamicContext`.
+* **Document order without a sort.**  From a single context node the
+  ``child``, ``self``, ``attribute``, ``descendant``,
+  ``descendant-or-self``, ``following-sibling`` and ``parent`` axes
+  already yield distinct nodes in document order, so such a step skips
+  the sort (Hidders & Michiels, DBPL 2003).  A predicate-free
+  ``descendant-or-self::node()`` followed by a predicate-free
+  ``child::T`` runs as one ``descendant::T`` step, which gives ``//T`` a
+  single context node.  Reverse axes and steps over several context
+  nodes keep the sort; a positional predicate (``//x[1]``) blocks the
+  fusion.
 """
 
 from __future__ import annotations
@@ -40,6 +71,7 @@ from .runtime import (
     AttributeNode,
     DocumentOrder,
     Item,
+    _Untyped,
     atomize,
     atomize_single,
     effective_boolean_value,
@@ -55,6 +87,15 @@ __all__ = ["Evaluator", "DynamicContext", "evaluate_query"]
 
 _MAX_RECURSION = 256
 
+#: Axes whose candidates from one context node are already distinct and
+#: in document order.
+_ORDERED_AXES = frozenset({
+    "child", "self", "attribute", "descendant", "descendant-or-self",
+    "following-sibling", "parent",
+})
+
+_UNSEEN = object()
+
 DocResolver = Callable[[str], Element]
 
 
@@ -63,7 +104,7 @@ class DynamicContext:
 
     __slots__ = (
         "variables", "context_item", "position", "size",
-        "doc_resolver", "functions", "order", "depth",
+        "doc_resolver", "functions", "order", "depth", "joins",
     )
 
     def __init__(
@@ -73,6 +114,7 @@ class DynamicContext:
         doc_resolver: Optional[DocResolver] = None,
         functions: Optional[Dict[Tuple[str, int], FunctionDecl]] = None,
         order: Optional[DocumentOrder] = None,
+        joins: Optional[Dict[FLWORExpr, Optional[bool]]] = None,
     ) -> None:
         self.variables: Dict[str, List[Item]] = variables or {}
         self.context_item = context_item
@@ -81,13 +123,15 @@ class DynamicContext:
         self.doc_resolver = doc_resolver
         self.functions = functions or {}
         self.order = order or DocumentOrder()
+        # per-run memo of _join_side, keyed by the FLWOR node's value
+        self.joins = {} if joins is None else joins
         self.depth = 0
 
     def child(self) -> "DynamicContext":
-        """A shallow copy sharing resolver/functions/order; fresh focus."""
+        """A shallow copy sharing resolver/functions/order/joins."""
         ctx = DynamicContext(
             dict(self.variables), self.context_item,
-            self.doc_resolver, self.functions, self.order,
+            self.doc_resolver, self.functions, self.order, self.joins,
         )
         ctx.position = self.position
         ctx.size = self.size
@@ -201,6 +245,23 @@ class Evaluator:
 
     # -- FLWOR -------------------------------------------------------------------
     def _eval_flwor(self, node: FLWORExpr, ctx: DynamicContext) -> List[Item]:
+        tuples: Optional[List[DynamicContext]] = None
+        a_on_left = self._join_side(node, ctx)
+        if a_on_left is not None:
+            tuples = self._hash_join(node, a_on_left, ctx)
+        if tuples is None:
+            tuples = self._nested_loop(node, ctx)
+
+        if node.order_by:
+            tuples = self._order_tuples(tuples, node.order_by)
+
+        result: List[Item] = []
+        for scope in tuples:
+            result.extend(self._eval(node.return_expr, scope))
+        return result
+
+    def _nested_loop(self, node: FLWORExpr, ctx: DynamicContext) -> List[DynamicContext]:
+        """The FLWOR's tuple stream by plain iteration, filtered by ``where``."""
         tuples: List[DynamicContext] = [ctx.child()]
         for clause in node.clauses:
             next_tuples: List[DynamicContext] = []
@@ -208,8 +269,7 @@ class Evaluator:
                 for scope in tuples:
                     items = self._eval(clause.source, scope)
                     for position, item in enumerate(items, start=1):
-                        bound = scope.child()
-                        bound.variables[clause.variable] = [item]
+                        bound = self._bind(scope, clause.variable, item)
                         if clause.position_variable:
                             bound.variables[clause.position_variable] = [position]
                         next_tuples.append(bound)
@@ -228,14 +288,106 @@ class Evaluator:
                 scope for scope in tuples
                 if effective_boolean_value(self._eval(node.where, scope))
             ]
+        return tuples
 
-        if node.order_by:
-            tuples = self._order_tuples(tuples, node.order_by)
+    @staticmethod
+    def _join_side(node: FLWORExpr, ctx: DynamicContext) -> Optional[bool]:
+        """Whether ``node`` is a hash-joinable two-``for`` equi-join.
 
-        result: List[Item] = []
-        for scope in tuples:
-            result.extend(self._eval(node.return_expr, scope))
-        return result
+        None when it is not; otherwise True when the ``$a`` key is the
+        left operand of ``=``.  A structural screen runs first, so most
+        FLWORs never reach the memo or the free-variable analysis.
+        """
+        where = node.where
+        if not (
+            len(node.clauses) == 2
+            and isinstance(where, ComparisonOp)
+            and where.op == "="
+        ):
+            return None
+        outer, inner = node.clauses
+        if not (
+            isinstance(outer, ForClause)
+            and isinstance(inner, ForClause)
+            and outer.position_variable is None
+            and inner.position_variable is None
+        ):
+            return None
+        side = ctx.joins.get(node, _UNSEEN)
+        if side is _UNSEEN:
+            # decompose imports this package's Query, so import it late
+            from .decompose import free_variables
+
+            a, b = outer.variable, inner.variable
+            left = free_variables(where.left)
+            right = free_variables(where.right)
+            if a in free_variables(inner.source):
+                side = None
+            elif a in left and b not in left and b in right and a not in right:
+                side = True
+            elif b in left and a not in left and a in right and b not in right:
+                side = False
+            else:
+                side = None
+            ctx.joins[node] = side
+        return side
+
+    def _hash_join(
+        self, node: FLWORExpr, a_on_left: bool, ctx: DynamicContext
+    ) -> Optional[List[DynamicContext]]:
+        """The where-filtered tuples of a joinable FLWOR, in nested-loop order.
+
+        None when a key atom is typed: ``=`` may then coerce or raise, so
+        the caller runs the nested loop instead.
+        """
+        outer, inner = node.clauses
+        where = node.where
+        a_key, b_key = (where.left, where.right) if a_on_left else (where.right, where.left)
+        base = ctx.child()
+        outer_items = self._eval(outer.source, base)
+        if not outer_items:
+            return []
+        inner_items = self._eval(inner.source, base)
+        if not inner_items:
+            return []
+        a_scopes = [self._bind(base, outer.variable, item) for item in outer_items]
+        b_scopes = [self._bind(base, inner.variable, item) for item in inner_items]
+
+        # (is the $a side, index) in the order the nested loop first
+        # evaluates each key, so the first error raised is its error
+        first = [(True, 0), (False, 0)] if a_on_left else [(False, 0), (True, 0)]
+        touches = (
+            first
+            + [(False, j) for j in range(1, len(b_scopes))]
+            + [(True, i) for i in range(1, len(a_scopes))]
+        )
+        a_atoms: List[List[Any]] = [[] for _ in a_scopes]
+        b_atoms: List[List[Any]] = [[] for _ in b_scopes]
+        for is_a, index in touches:
+            scope = a_scopes[index] if is_a else b_scopes[index]
+            atoms = atomize(self._eval(a_key if is_a else b_key, scope))
+            if any(type(atom) is not _Untyped for atom in atoms):
+                return None
+            (a_atoms if is_a else b_atoms)[index] = atoms
+
+        buckets: Dict[str, List[int]] = {}
+        for j, atoms in enumerate(b_atoms):
+            for atom in atoms:
+                buckets.setdefault(atom, []).append(j)
+        tuples: List[DynamicContext] = []
+        for i, atoms in enumerate(a_atoms):
+            matched = set()
+            for atom in atoms:
+                matched.update(buckets.get(atom, ()))
+            for j in sorted(matched):
+                tuples.append(self._bind(a_scopes[i], inner.variable, inner_items[j]))
+        return tuples
+
+    @staticmethod
+    def _bind(scope: DynamicContext, variable: str, item: Item) -> DynamicContext:
+        bound = scope.child()
+        bound.variables[variable] = [item]
+        return bound
 
     def _order_tuples(
         self, tuples: List[DynamicContext], specs: Tuple[OrderSpec, ...]
@@ -411,11 +563,21 @@ class Evaluator:
         else:
             current = [ctx.require_context_item("relative path")]
 
-        for step in node.steps:
-            if isinstance(step, Step):
-                current = self._eval_step(step, current, ctx)
-            else:
+        steps = node.steps
+        index = 0
+        while index < len(steps):
+            step = steps[index]
+            if not isinstance(step, Step):
                 current = self._eval_expression_step(step, current, ctx)
+            elif index + 1 < len(steps) and _is_descendant_pair(step, steps[index + 1]):
+                # descendant-or-self::node()/child::T is descendant::T
+                index += 1
+                current = self._eval_step(
+                    Step("descendant", steps[index].test), current, ctx
+                )
+            else:
+                current = self._eval_step(step, current, ctx)
+            index += 1
         return current
 
     def _eval_expression_step(
@@ -458,6 +620,8 @@ class Evaluator:
             ]
             candidates = self._apply_predicates(step.predicates, candidates, ctx)
             gathered.extend(candidates)
+        if len(context_nodes) == 1 and step.axis in _ORDERED_AXES:
+            return gathered
         return ctx.order.sort_and_dedupe(gathered)
 
     def _axis_candidates(
@@ -603,6 +767,7 @@ class Evaluator:
             doc_resolver=ctx.doc_resolver,
             functions=ctx.functions,
             order=ctx.order,
+            joins=ctx.joins,
         )
         inner.depth = ctx.depth + 1
         for param, value in zip(decl.params, args):
@@ -725,6 +890,19 @@ Evaluator._DISPATCH = {
     ComputedText: Evaluator._eval_computed_text,
     EnclosedExpr: Evaluator._eval_enclosed,
 }
+
+
+def _is_descendant_pair(step: Step, following: XQNode) -> bool:
+    """``step/following`` is a predicate-free ``//T`` (fusable to ``descendant::T``)."""
+    return (
+        step.axis == "descendant-or-self"
+        and not step.predicates
+        and isinstance(step.test, KindTest)
+        and step.test.kind == "node"
+        and isinstance(following, Step)
+        and following.axis == "child"
+        and not following.predicates
+    )
 
 
 def evaluate_query(

@@ -254,9 +254,11 @@ def general_compare(op: str, left: Sequence[Item], right: Sequence[Item]) -> boo
 # Document order
 # ---------------------------------------------------------------------------
 
-def _root_of(node: Union[Node, AttributeNode]) -> Node:
+def _root_of(node: Union[Node, AttributeNode]) -> Union[Node, AttributeNode]:
     if isinstance(node, AttributeNode):
-        anchor: Node = node.owner if node.owner is not None else Text(node.value)
+        if node.owner is None:
+            return node  # a computed attribute is its own root
+        anchor: Node = node.owner
     else:
         anchor = node
     while isinstance(anchor, (Element, Text)) and anchor.parent is not None:

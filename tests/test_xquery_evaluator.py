@@ -107,6 +107,11 @@ class TestComparisons:
             "(//item)[1] << (//item)[2]", context_item=catalog
         ) == [True]
 
+    def test_computed_attribute_is_its_own_root(self):
+        # an owner-less attribute used to get a fresh root per order key
+        query = 'let $a := attribute foo {"1"} return ($a << $a, $a >> $a, $a is $a)'
+        assert evaluate_query(query) == [False, False, True]
+
     def test_boolean_cross_type_rejected(self):
         with pytest.raises(XQueryTypeError):
             evaluate_query("true() eq 1")
@@ -201,6 +206,61 @@ class TestPaths:
     def test_rooted_path_from_deep_node(self, catalog):
         deep = catalog.element_children[0].element_children[0]
         assert len(evaluate_query("//item", context_item=deep)) == 5
+
+
+class TestStepOrdering:
+    """Steps that skip the document-order sort must not change results."""
+
+    @pytest.fixture()
+    def nested(self):
+        return parse(
+            "<r><a><x>1</x><x>2</x><a><b>b1</b><x>3</x></a><b>b2</b></a>"
+            "<c><x>4</x></c><b>b3</b></r>"
+        )
+
+    def test_positional_predicate_blocks_descendant_fusion(self, nested):
+        # //x[1] is the first x child of every parent; descendant::x[1]
+        # is the first x in the whole tree
+        assert strings(evaluate_query("//x[1]", context_item=nested)) == [
+            "1", "3", "4"
+        ]
+        assert strings(
+            evaluate_query("/descendant::x[1]", context_item=nested)
+        ) == ["1"]
+        assert strings(
+            evaluate_query("$r//x[1]", variables={"r": [nested]})
+        ) == ["1", "3", "4"]
+
+    def test_reverse_axes_from_one_node_sort(self, nested):
+        x3 = evaluate_query("(//x)[3]", context_item=nested)
+        assert [n.tag for n in evaluate_query(
+            "$n/ancestor::*", variables={"n": x3}
+        )] == ["r", "a", "a"]
+        b2 = evaluate_query("(//b)[2]", context_item=nested)
+        assert strings(evaluate_query(
+            "$n/preceding-sibling::*", variables={"n": b2}
+        )) == ["1", "2", "b13"]
+
+    def test_nested_context_nodes_dedupe_in_order(self, nested):
+        seq = evaluate_query("//a", context_item=nested)
+        assert len(seq) == 2  # the inner a lies inside the outer one
+        assert strings(
+            evaluate_query("$seq//b", variables={"seq": seq})
+        ) == ["b1", "b2"]
+        assert strings(
+            evaluate_query("$seq//x", variables={"seq": list(reversed(seq))})
+        ) == ["1", "2", "3"]
+
+    def test_rooted_descendant_path_unchanged(self, nested):
+        expected = ["1", "2", "3", "4"]
+        for start in (nested, nested.element_children[0].element_children[2]):
+            assert strings(evaluate_query("//x", context_item=start)) == expected
+            assert strings(
+                evaluate_query("/descendant::x", context_item=start)
+            ) == expected
+        assert [n.tag for n in evaluate_query("//a/..", context_item=nested)] == [
+            "r", "a"
+        ]
 
 
 class TestFLWOR:
